@@ -21,9 +21,13 @@ test:
 # may be reading them, and the harness publishes the per-cell histograms
 # (symbreak_*_seconds) during runs whose solvers still have pool workers
 # in flight — the racy interleavings only these packages exercise.
+# serve is the most concurrent package (admission, singleflight coalescing,
+# the LRU cache and flight recorder under parallel requests), and core is
+# where each request attaches its own trace collector around the solve.
 race:
 	$(GO) test -race ./internal/par/... ./internal/graph/... ./internal/trace/... \
-		./internal/telemetry/... ./internal/bsp/... ./internal/harness/...
+		./internal/telemetry/... ./internal/bsp/... ./internal/harness/... \
+		./internal/serve/... ./internal/core/...
 
 vet:
 	$(GO) vet ./...

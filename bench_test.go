@@ -261,7 +261,7 @@ func BenchmarkSolverMISDeg2(b *testing.B) {
 	g := benchGraph(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mis.MISDeg2(g, mis.LubySolver(1))
+		mis.MISDeg2(g, mis.LubySolver(1), mis.KPSolver())
 	}
 }
 

@@ -160,11 +160,14 @@ func runOnce(file string, args []string, scale float64, seed uint64,
 		fatal(err)
 	}
 
-	res, err := core.SolveVerified(g, p, core.Options{
+	res, err := core.Solve(g, p, core.Options{
 		Strategy: s, Arch: arch, RandParts: parts, DegK: k, MPXBeta: beta, Seed: seed,
 	})
 	if err != nil {
 		fatal(err)
+	}
+	if err := core.Verify(g, res); err != nil {
+		fatal(fmt.Errorf("solution failed verification: %w", err))
 	}
 
 	fmt.Printf("graph:      |V|=%d |E|=%d\n", g.NumVertices(), g.NumEdges())

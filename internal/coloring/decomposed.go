@@ -9,63 +9,39 @@ import (
 	"repro/internal/trace"
 )
 
-// ColorBridge is the paper's Algorithm 7: color the 2-edge-connected
-// components G_c independently (they share a palette and cannot conflict
-// with each other), then detect conflicts across the bridges and recolor
-// the conflicted vertices against G_c ∪ G_b = G.
-func ColorBridge(g *graph.Graph, eng Engine) (*Coloring, Report) {
-	rep := Report{Strategy: "COLOR-Bridge"}
+// twoPhase is the body Algorithms 7 and 8 and the MPX analogue share:
+// decompose G, color every part with a fresh shared palette (parts never
+// conflict with each other), uncolor one endpoint of each monochromatic
+// edge between parts via reset, and repair those vertices against the
+// whole graph. partsSpan names the parts phase's span.
+func twoPhase(g *graph.Graph, strategy, partsSpan string, eng Engine,
+	decompose func() *decomp.Result, reset func(color []int32, d *decomp.Result) []int32) (*Coloring, Report) {
+	rep := Report{Strategy: strategy}
 	dsp := trace.Begin("decomp")
-	d := decomp.Bridge(g)
+	d := decompose()
 	dsp.End()
 	rep.Decomp = d.Elapsed
 
 	start := time.Now()
-	// C_c ← COLOR(G_c): G_c keeps global ids, its components color in
-	// parallel inside the engine.
-	sp := trace.Begin("solve/G_c")
-	c, st := eng.Fresh(d.Parts[0].G)
-	sp.Add("rounds", int64(st.Rounds))
-	sp.End()
-	rep.Rounds += st.Rounds
-	// Only bridge edges can be monochromatic. Reset the lower endpoint of
-	// each conflicting bridge.
-	sp = trace.Begin("solve/repair")
-	work := resetConflicts(c.Color, d.Bridges)
-	rep.Conflicted = int64(len(work))
-	st = eng.Repair(g, c.Color, work)
-	sp.Add("conflicts", rep.Conflicted)
-	sp.Add("rounds", int64(st.Rounds))
-	sp.End()
-	rep.Rounds += st.Rounds
-	rep.Solve = time.Since(start)
-	return c, rep
-}
-
-// ColorRand is the paper's Algorithm 8: color the k random induced
-// subgraphs with an identical palette, collect the endpoints of
-// monochromatic cross edges, and recolor them along with G_{k+1} — i.e.
-// against the full graph.
-func ColorRand(g *graph.Graph, k int, seed uint64, eng Engine) (*Coloring, Report) {
-	rep := Report{Strategy: "COLOR-Rand"}
-	dsp := trace.Begin("decomp")
-	d := decomp.Rand(g, k, seed)
-	dsp.End()
-	rep.Decomp = d.Elapsed
-
-	start := time.Now()
-	c := NewColoring(g.NumVertices())
-	sp := trace.Begin("solve/parts")
-	for _, part := range d.Parts {
-		local, st := eng.Fresh(part.G)
+	sp := trace.Begin(partsSpan)
+	var c *Coloring
+	if len(d.Parts) == 1 {
+		// A single part spans V with global ids: its coloring is G's.
+		var st Stats
+		c, st = eng.Fresh(d.Parts[0].G)
 		rep.Rounds += st.Rounds
-		mergeColors(c.Color, part, local)
+	} else {
+		c = NewColoring(g.NumVertices())
+		for _, part := range d.Parts {
+			local, st := eng.Fresh(part.G)
+			rep.Rounds += st.Rounds
+			mergeColors(c.Color, part, local)
+		}
 	}
 	sp.Add("rounds", int64(rep.Rounds))
 	sp.End()
-	// Conflicts can only sit on cross edges.
 	sp = trace.Begin("solve/repair")
-	work := resetConflictsSub(c.Color, d.Cross)
+	work := reset(c.Color, d)
 	rep.Conflicted = int64(len(work))
 	st := eng.Repair(g, c.Color, work)
 	sp.Add("conflicts", rep.Conflicted)
@@ -76,35 +52,32 @@ func ColorRand(g *graph.Graph, k int, seed uint64, eng Engine) (*Coloring, Repor
 	return c, rep
 }
 
+// ColorBridge is the paper's Algorithm 7: color the 2-edge-connected
+// components G_c independently (they share a palette and cannot conflict
+// with each other), then detect conflicts across the bridges and recolor
+// the conflicted vertices against G_c ∪ G_b = G.
+func ColorBridge(g *graph.Graph, eng Engine) (*Coloring, Report) {
+	return twoPhase(g, "COLOR-Bridge", "solve/G_c", eng,
+		func() *decomp.Result { return decomp.Bridge(g) }, resetConflicts)
+}
+
+// ColorRand is the paper's Algorithm 8: color the k random induced
+// subgraphs with an identical palette, collect the endpoints of
+// monochromatic cross edges, and recolor them along with G_{k+1} — i.e.
+// against the full graph.
+func ColorRand(g *graph.Graph, k int, seed uint64, eng Engine) (*Coloring, Report) {
+	return twoPhase(g, "COLOR-Rand", "solve/parts", eng,
+		func() *decomp.Result { return decomp.Rand(g, k, seed) }, resetConflictsSub)
+}
+
 // ColorMPX is the MPX analogue of Algorithm 7 (an extension beyond the
 // paper): grow exponential-shift balls, color their union with a shared
 // palette (different balls can only conflict across inter-ball edges),
 // then repair the monochromatic inter-ball endpoints against the full
 // graph.
 func ColorMPX(g *graph.Graph, beta float64, seed uint64, eng Engine) (*Coloring, Report) {
-	rep := Report{Strategy: "COLOR-MPX"}
-	dsp := trace.Begin("decomp")
-	d := decomp.MPX(g, beta, seed)
-	dsp.End()
-	rep.Decomp = d.Elapsed
-
-	start := time.Now()
-	sp := trace.Begin("solve/balls")
-	c, st := eng.Fresh(d.Parts[0].G)
-	sp.Add("rounds", int64(st.Rounds))
-	sp.End()
-	rep.Rounds += st.Rounds
-	// Conflicts can only sit on inter-ball edges.
-	sp = trace.Begin("solve/repair")
-	work := resetConflictsSub(c.Color, d.Cross)
-	rep.Conflicted = int64(len(work))
-	st = eng.Repair(g, c.Color, work)
-	sp.Add("conflicts", rep.Conflicted)
-	sp.Add("rounds", int64(st.Rounds))
-	sp.End()
-	rep.Rounds += st.Rounds
-	rep.Solve = time.Since(start)
-	return c, rep
+	return twoPhase(g, "COLOR-MPX", "solve/balls", eng,
+		func() *decomp.Result { return decomp.MPX(g, beta, seed) }, resetConflictsSub)
 }
 
 // ColorDegk is the paper's Algorithm 9 (k = 2 in the paper): color the
@@ -126,8 +99,7 @@ func ColorDegk(g *graph.Graph, k int, eng Engine) (*Coloring, Report) {
 
 	dsp := trace.Begin("decomp")
 	decompStart := time.Now()
-	low := make([]bool, n)
-	par.For(n, func(i int) { low[i] = g.Degree(int32(i)) <= int32(k) })
+	low := decomp.LowDegree(g, k)
 	rep.Decomp = time.Since(decompStart)
 	dsp.End()
 
@@ -184,11 +156,14 @@ func mergeColors(global []int32, sub *graph.Sub, local *Coloring) {
 	})
 }
 
-// resetConflicts uncolors the lower endpoint of every monochromatic edge in
-// the list and returns the (deduplicated) worklist of reset vertices.
-func resetConflicts(color []int32, edges []graph.Edge) []int32 {
+// resetConflicts uncolors the lower endpoint of every monochromatic bridge
+// of d, in list order, and returns the (deduplicated) worklist of reset
+// vertices. Sequential on purpose: on a chain of same-colored bridges an
+// already-reset endpoint ends the conflict for later bridges, so it resets
+// fewer vertices than resetConflictsSub can.
+func resetConflicts(color []int32, d *decomp.Result) []int32 {
 	var work []int32
-	for _, e := range edges {
+	for _, e := range d.Bridges {
 		if color[e.U] == color[e.V] && color[e.U] != Uncolored {
 			lo := e.U
 			if loses(e.V, e.U) {
@@ -203,9 +178,11 @@ func resetConflicts(color []int32, edges []graph.Edge) []int32 {
 	return work
 }
 
-// resetConflictsSub does the same over all edges of a cross subgraph,
-// working in global ids through the Sub's mapping.
-func resetConflictsSub(color []int32, cross *graph.Sub) []int32 {
+// resetConflictsSub uncolors, in parallel, every vertex that loses a
+// monochromatic edge of d's cross subgraph, working in global ids through
+// the Sub's mapping, and returns the reset vertices.
+func resetConflictsSub(color []int32, d *decomp.Result) []int32 {
+	cross := d.Cross
 	n := cross.NumVertices()
 	reset := make([]bool, n)
 	par.For(n, func(j int) {

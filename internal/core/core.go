@@ -12,7 +12,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -268,52 +267,31 @@ func Solve(g *graph.Graph, p Problem, opt Options) (*Result, error) {
 }
 
 func solveMM(g *graph.Graph, strategy Strategy, opt Options, res *Result) {
-	var alg matching.Algorithm
+	alg, name := matching.GMSolver(), "GM"
 	if opt.Arch == ArchGPU {
-		alg = matching.LMAXSolver(opt.Machine, opt.Seed)
-	} else {
-		alg = matching.GMSolver()
+		alg, name = matching.LMAXSolver(opt.Machine, opt.Seed), "LMAX"
 	}
+	var rep matching.Report
 	switch strategy {
 	case StrategyBaseline:
 		sp := trace.Begin("solve")
 		start := time.Now()
 		m, st := alg(g)
 		res.Matching = m
-		res.Report.Solve = time.Since(start)
-		res.Report.Rounds = st.Rounds
+		rep = matching.Report{Strategy: name, Solve: time.Since(start), Rounds: st.Rounds}
 		sp.Add("rounds", int64(st.Rounds))
 		sp.Add("matched", st.Matched)
 		sp.End()
-		if opt.Arch == ArchGPU {
-			res.Report.StrategyName = "LMAX"
-		} else {
-			res.Report.StrategyName = "GM"
-		}
 	case StrategyBridge:
-		m, rep := matching.MMBridge(g, alg)
-		res.Matching = m
-		fillMM(&res.Report, rep)
+		res.Matching, rep = matching.MMBridge(g, alg)
 	case StrategyRand:
-		m, rep := matching.MMRand(g, opt.RandParts, opt.Seed, alg)
-		res.Matching = m
-		fillMM(&res.Report, rep)
+		res.Matching, rep = matching.MMRand(g, opt.RandParts, opt.Seed, alg)
 	case StrategyDegk:
-		m, rep := matching.MMDegk(g, opt.DegK, alg)
-		res.Matching = m
-		fillMM(&res.Report, rep)
+		res.Matching, rep = matching.MMDegk(g, opt.DegK, alg)
 	case StrategyMPX:
-		m, rep := matching.MMMPX(g, opt.MPXBeta, opt.Seed, alg)
-		res.Matching = m
-		fillMM(&res.Report, rep)
+		res.Matching, rep = matching.MMMPX(g, opt.MPXBeta, opt.Seed, alg)
 	}
-}
-
-func fillMM(r *Report, rep matching.Report) {
-	r.StrategyName = rep.Strategy
-	r.Decomp = rep.Decomp
-	r.Solve = rep.Solve
-	r.Rounds = rep.Rounds
+	res.Report.fill(rep.Strategy, rep.Decomp, rep.Solve, rep.Rounds)
 }
 
 func solveColor(g *graph.Graph, strategy Strategy, opt Options, res *Result) {
@@ -323,130 +301,62 @@ func solveColor(g *graph.Graph, strategy Strategy, opt Options, res *Result) {
 	} else {
 		eng = coloring.NewVB()
 	}
+	var rep coloring.Report
 	switch strategy {
 	case StrategyBaseline:
 		sp := trace.Begin("solve")
 		start := time.Now()
 		c, st := eng.Fresh(g)
 		res.Coloring = c
-		res.Report.Solve = time.Since(start)
-		res.Report.Rounds = st.Rounds
-		res.Report.StrategyName = eng.Name()
+		rep = coloring.Report{Strategy: eng.Name(), Solve: time.Since(start), Rounds: st.Rounds}
 		sp.Add("rounds", int64(st.Rounds))
 		sp.End()
 	case StrategyBridge:
-		c, rep := coloring.ColorBridge(g, eng)
-		res.Coloring = c
-		fillColor(&res.Report, rep)
+		res.Coloring, rep = coloring.ColorBridge(g, eng)
 	case StrategyRand:
-		c, rep := coloring.ColorRand(g, opt.RandParts, opt.Seed, eng)
-		res.Coloring = c
-		fillColor(&res.Report, rep)
+		res.Coloring, rep = coloring.ColorRand(g, opt.RandParts, opt.Seed, eng)
 	case StrategyDegk:
-		c, rep := coloring.ColorDegk(g, opt.DegK, eng)
-		res.Coloring = c
-		fillColor(&res.Report, rep)
+		res.Coloring, rep = coloring.ColorDegk(g, opt.DegK, eng)
 	case StrategyMPX:
-		c, rep := coloring.ColorMPX(g, opt.MPXBeta, opt.Seed, eng)
-		res.Coloring = c
-		fillColor(&res.Report, rep)
+		res.Coloring, rep = coloring.ColorMPX(g, opt.MPXBeta, opt.Seed, eng)
 	}
-}
-
-func fillColor(r *Report, rep coloring.Report) {
-	r.StrategyName = rep.Strategy
-	r.Decomp = rep.Decomp
-	r.Solve = rep.Solve
-	r.Rounds = rep.Rounds
+	res.Report.fill(rep.Strategy, rep.Decomp, rep.Solve, rep.Rounds)
 }
 
 func solveMIS(g *graph.Graph, strategy Strategy, opt Options, res *Result) {
-	var alg mis.Solver
+	alg, kp := mis.LubySolver(opt.Seed), mis.KPSolver()
 	if opt.Arch == ArchGPU {
-		alg = mis.LubyGPUSolver(opt.Machine, opt.Seed)
-	} else {
-		alg = mis.LubySolver(opt.Seed)
+		alg, kp = mis.LubyGPUSolver(opt.Machine, opt.Seed), mis.KPSolverOn(opt.Machine.Launch)
 	}
+	var rep mis.Report
 	switch strategy {
 	case StrategyBaseline:
 		sp := trace.Begin("solve")
 		start := time.Now()
-		var s *mis.IndepSet
 		var st mis.Stats
 		if opt.Arch == ArchGPU {
-			s, st = mis.LubyGPU(g, opt.Machine, opt.Seed)
+			res.IndepSet, st = mis.LubyGPU(g, opt.Machine, opt.Seed)
 		} else {
-			s, st = mis.Luby(g, opt.Seed)
+			res.IndepSet, st = mis.Luby(g, opt.Seed)
 		}
-		res.IndepSet = s
-		res.Report.Solve = time.Since(start)
-		res.Report.Rounds = st.Rounds
-		res.Report.StrategyName = "LubyMIS"
+		rep = mis.Report{Strategy: "LubyMIS", Solve: time.Since(start), Rounds: st.Rounds}
 		sp.Add("rounds", int64(st.Rounds))
 		sp.End()
 	case StrategyBridge:
-		s, rep := mis.MISBridge(g, alg)
-		res.IndepSet = s
-		fillMIS(&res.Report, rep)
+		res.IndepSet, rep = mis.MISBridge(g, alg, mis.OrderAuto)
 	case StrategyRand:
-		s, rep := mis.MISRand(g, opt.RandParts, opt.Seed, alg)
-		res.IndepSet = s
-		fillMIS(&res.Report, rep)
+		res.IndepSet, rep = mis.MISRand(g, opt.RandParts, opt.Seed, alg, mis.OrderAuto)
 	case StrategyDegk:
-		kp := mis.KPSolver()
-		if opt.Arch == ArchGPU {
-			kp = mis.KPSolverOn(opt.Machine.Launch)
-		}
-		s, rep := mis.MISDeg2With(g, alg, kp)
-		res.IndepSet = s
-		fillMIS(&res.Report, rep)
+		res.IndepSet, rep = mis.MISDeg2(g, alg, kp)
 	case StrategyMPX:
-		s, rep := mis.MISMPX(g, opt.MPXBeta, opt.Seed, alg)
-		res.IndepSet = s
-		fillMIS(&res.Report, rep)
+		res.IndepSet, rep = mis.MISMPX(g, opt.MPXBeta, opt.Seed, alg, mis.OrderAuto)
 	}
+	res.Report.fill(rep.Strategy, rep.Decomp, rep.Solve, rep.Rounds)
 }
 
-func fillMIS(r *Report, rep mis.Report) {
-	r.StrategyName = rep.Strategy
-	r.Decomp = rep.Decomp
-	r.Solve = rep.Solve
-	r.Rounds = rep.Rounds
-}
-
-// SolveCtx is Solve with a context. If ctx carries a trace.Collector
-// (via trace.NewContext), the collector is attached to the calling
-// goroutine for the duration of the solve, so every phase span the
-// decomposition and solver layers open — decomp, solve/parts,
-// solve/cross, per-round series — lands on that collector instead of the
-// process-global tracer. This is how the serving layer gives each
-// concurrent request its own span tree; a context without a collector
-// behaves exactly like Solve.
-func SolveCtx(ctx context.Context, g *graph.Graph, p Problem, opt Options) (*Result, error) {
-	defer trace.FromContext(ctx).Attach()()
-	return Solve(g, p, opt)
-}
-
-// SolveVerifiedCtx is SolveVerified with a context, threading a carried
-// trace.Collector the same way SolveCtx does.
-func SolveVerifiedCtx(ctx context.Context, g *graph.Graph, p Problem, opt Options) (*Result, error) {
-	defer trace.FromContext(ctx).Attach()()
-	return SolveVerified(g, p, opt)
-}
-
-// SolveVerified runs Solve and then Verify, returning the result only if
-// the solution re-checks against g. It is the entry point request-serving
-// paths share with cmd/symbreak: one call that either yields a verified
-// solution or an error, never an unchecked result.
-func SolveVerified(g *graph.Graph, p Problem, opt Options) (*Result, error) {
-	res, err := Solve(g, p, opt)
-	if err != nil {
-		return nil, err
-	}
-	if err := Verify(g, res); err != nil {
-		return nil, fmt.Errorf("core: solution failed verification: %w", err)
-	}
-	return res, nil
+// fill copies a solver package's report fields into r.
+func (r *Report) fill(name string, decomp, solve time.Duration, rounds int) {
+	r.StrategyName, r.Decomp, r.Solve, r.Rounds = name, decomp, solve, rounds
 }
 
 // fnv1a64 parameters for SolutionDigest.

@@ -1,14 +1,29 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/graph"
+)
+
+// solveVerified runs Solve then Verify — the sequence every caller of
+// core follows — and fails the test on either error.
+func solveVerified(t *testing.T, g *graph.Graph, p Problem, opt Options) *Result {
+	t.Helper()
+	res, err := Solve(g, p, opt)
+	if err != nil {
+		t.Fatalf("%v: %v", p, err)
+	}
+	if err := Verify(g, res); err != nil {
+		t.Fatalf("%v: %v", p, err)
+	}
+	return res
+}
 
 func TestSolveVerified(t *testing.T) {
 	g := randomGraph(300, 1200, 3)
 	for _, p := range []Problem{ProblemMM, ProblemColor, ProblemMIS} {
-		res, err := SolveVerified(g, p, Options{Seed: 7})
-		if err != nil {
-			t.Fatalf("%v: %v", p, err)
-		}
+		res := solveVerified(t, g, p, Options{Seed: 7})
 		if res.SolutionCount() == 0 {
 			t.Errorf("%v: zero solution count", p)
 		}
@@ -16,7 +31,7 @@ func TestSolveVerified(t *testing.T) {
 			t.Errorf("%v: zero digest", p)
 		}
 	}
-	if _, err := SolveVerified(g, Problem(9), Options{Seed: 7}); err == nil {
+	if _, err := Solve(g, Problem(9), Options{Seed: 7}); err == nil {
 		t.Fatal("unknown problem accepted")
 	}
 }
@@ -24,21 +39,12 @@ func TestSolveVerified(t *testing.T) {
 func TestSolutionDigestDeterministic(t *testing.T) {
 	g := randomGraph(400, 1600, 9)
 	for _, p := range []Problem{ProblemMM, ProblemColor, ProblemMIS} {
-		a, err := SolveVerified(g, p, Options{Strategy: StrategyRand, Seed: 11})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := SolveVerified(g, p, Options{Strategy: StrategyRand, Seed: 11})
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := solveVerified(t, g, p, Options{Strategy: StrategyRand, Seed: 11})
+		b := solveVerified(t, g, p, Options{Strategy: StrategyRand, Seed: 11})
 		if a.SolutionDigest() != b.SolutionDigest() {
 			t.Errorf("%v: digest differs under same seed", p)
 		}
-		c, err := SolveVerified(g, p, Options{Strategy: StrategyRand, Seed: 12})
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := solveVerified(t, g, p, Options{Strategy: StrategyRand, Seed: 12})
 		// Different seeds should (overwhelmingly) give different payloads;
 		// equal digests with equal payloads are fine, so only flag when the
 		// solutions actually differ.

@@ -30,13 +30,13 @@ func Degk(g *graph.Graph, k int) *Result {
 	r := &Result{Technique: TechDegk}
 	sp := trace.Begin("decomp/DEGk")
 	r.Elapsed = timed(func() {
-		n := g.NumVertices()
-		label := make([]int32, n)
-		par.For(n, func(i int) {
-			if g.Degree(int32(i)) > int32(k) {
-				label[i] = DegkHigh
-			} else {
+		low := LowDegree(g, k)
+		label := make([]int32, len(low))
+		par.For(len(low), func(i int) {
+			if low[i] {
 				label[i] = DegkLow
+			} else {
+				label[i] = DegkHigh
 			}
 		})
 		r.Parts, r.Cross = graph.PartitionByLabel(g, label, 2)
@@ -48,4 +48,13 @@ func Degk(g *graph.Graph, k int) *Result {
 	}
 	sp.End()
 	return r
+}
+
+// LowDegree is Algorithm 3's split on its own: low[v] reports whether v
+// has degree at most k (v ∈ V_L). Degk and the solvers that work on the
+// split without materializing G_L and G_H share it.
+func LowDegree(g *graph.Graph, k int) []bool {
+	low := make([]bool, g.NumVertices())
+	par.For(len(low), func(i int) { low[i] = g.Degree(int32(i)) <= int32(k) })
+	return low
 }

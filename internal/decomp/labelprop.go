@@ -28,10 +28,7 @@ func LabelProp(g *graph.Graph, k, iters int, seed uint64) *Result {
 	sp := trace.Begin("decomp/LABELPROP")
 	r.Elapsed = timed(func() {
 		n := g.NumVertices()
-		label := make([]int32, n)
-		par.For(n, func(i int) {
-			label[i] = int32(par.HashRange(seed, int64(i), k))
-		})
+		label := RandLabels(n, k, seed)
 		next := make([]int32, n)
 		for it := 0; it < iters; it++ {
 			var changed int32

@@ -24,11 +24,7 @@ func Rand(g *graph.Graph, k int, seed uint64) *Result {
 	r := &Result{Technique: TechRand}
 	sp := trace.Begin("decomp/RAND")
 	r.Elapsed = timed(func() {
-		n := g.NumVertices()
-		label := make([]int32, n)
-		par.For(n, func(i int) {
-			label[i] = int32(par.HashRange(seed, int64(i), k))
-		})
+		label := RandLabels(g.NumVertices(), k, seed)
 		r.Parts, r.Cross = graph.PartitionByLabel(g, label, k)
 		r.Label = label
 		r.Rounds = 1
@@ -38,4 +34,15 @@ func Rand(g *graph.Graph, k int, seed uint64) *Result {
 	}
 	sp.End()
 	return r
+}
+
+// RandLabels is Algorithm 2's labeling on its own: vertex i of n gets the
+// part par.HashRange(seed, i, k) in [0, k). Rand and the mask-based
+// solvers, which need the labels but not the induced subgraphs, share it.
+func RandLabels(n, k int, seed uint64) []int32 {
+	label := make([]int32, n)
+	par.For(n, func(i int) {
+		label[i] = int32(par.HashRange(seed, int64(i), k))
+	})
+	return label
 }

@@ -121,7 +121,7 @@ func misBaselines(cfg Config) *Table {
 		for _, run := range []func() *mis.IndepSet{
 			func() *mis.IndepSet { s, _ := mis.Luby(g, cfg.Seed); return s },
 			func() *mis.IndepSet { s, _ := mis.Greedy(g, cfg.Seed); return s },
-			func() *mis.IndepSet { s, _ := mis.MISDeg2(g, mis.LubySolver(cfg.Seed)); return s },
+			func() *mis.IndepSet { s, _ := mis.MISDeg2(g, mis.LubySolver(cfg.Seed), mis.KPSolver()); return s },
 		} {
 			var size int64
 			d := timeRun(cfg, func() { size = run().Size() })

@@ -336,11 +336,11 @@ func AblationOrder(cfg Config) *Table {
 	for _, spec := range cfg.specs() {
 		g := dataset.Load(spec, cfg.Scale, cfg.Seed)
 		bridgeCell := func(ord mis.Order) string {
-			_, rep := mis.MISBridgeOrdered(g, alg, ord)
+			_, rep := mis.MISBridge(g, alg, ord)
 			return fmtDur(rep.Total())
 		}
 		randCell := func(ord mis.Order) string {
-			_, rep := mis.MISRandOrdered(g, 10, cfg.Seed, alg, ord)
+			_, rep := mis.MISRand(g, 10, cfg.Seed, alg, ord)
 			return fmtDur(rep.Total())
 		}
 		t.Rows = append(t.Rows,

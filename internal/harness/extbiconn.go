@@ -43,7 +43,7 @@ func ExtBiconn(cfg Config) *Table {
 		ms := func() []string {
 			base := timeRun(cfg, func() { mis.Luby(g, cfg.Seed) })
 			bic := timeRun(cfg, func() { mis.MISBiconn(g, mis.LubySolver(cfg.Seed)) })
-			win := timeRun(cfg, func() { mis.MISDeg2(g, mis.LubySolver(cfg.Seed)) })
+			win := timeRun(cfg, func() { mis.MISDeg2(g, mis.LubySolver(cfg.Seed), mis.KPSolver()) })
 			return []string{spec.Name, "MIS", fmtDur(base), fmtDur(bic), fmtDur(win)}
 		}
 		t.Rows = append(t.Rows, mm(), col(), ms())

@@ -37,7 +37,7 @@ func Quality(cfg Config) *Table {
 		cDegk, _ := coloring.ColorDegk(g, 2, coloring.NewVB())
 		sSeq := seq.MIS(g).Size()
 		sLuby, _ := mis.Luby(g, cfg.Seed)
-		sDeg2, _ := mis.MISDeg2(g, mis.LubySolver(cfg.Seed))
+		sDeg2, _ := mis.MISDeg2(g, mis.LubySolver(cfg.Seed), mis.KPSolver())
 		t.Rows = append(t.Rows, []string{
 			spec.Name,
 			fmt.Sprintf("%d", mSeq), fmt.Sprintf("%d", mGM.Cardinality()), fmt.Sprintf("%d", mRand.Cardinality()),

@@ -44,78 +44,81 @@ func solveOnUnmatched(global []int32, sub *graph.Sub, mm Algorithm) int {
 	return st.Rounds
 }
 
-// MMBridge is the paper's Algorithm 4: decompose by bridges, match the
-// 2-edge-connected components G_c, then augment with a matching on the
-// subgraph of the bridges induced by still-unmatched bridge vertices.
-func MMBridge(g *graph.Graph, mm Algorithm) (*Matching, Report) {
-	rep := Report{Strategy: "MM-Bridge"}
+// edgeSplit is a decomposition's phase-1 classification of the edges:
+// first selects the phase-1 edges and rest, its complement, the phase-2
+// edges. rest is spelled out rather than derived by negating first
+// because the subgraph builders call it once per arc. parts is the part
+// count the decomp span reports.
+type edgeSplit struct {
+	first, rest func(u, v int32) bool
+	parts       int
+}
+
+// byLabel is the split of the label-based decompositions: phase 1 takes
+// the edges inside a part, phase 2 the edges between parts.
+func byLabel(label []int32, parts int) edgeSplit {
+	return edgeSplit{
+		first: func(u, v int32) bool { return label[u] == label[v] },
+		rest:  func(u, v int32) bool { return label[u] != label[v] },
+		parts: parts,
+	}
+}
+
+// twoPhase is the body every decomposed MM algorithm shares (Algorithms
+// 4–6 and the MPX analogue). split runs inside the timed decomposition;
+// phase 1 matches G restricted to the first edges — it keeps global
+// vertex ids, so the parallel subroutine solves its components (the
+// parts) simultaneously — and phase 2 matches the rest, restricted to
+// still-unmatched vertices. phase1 and phase2 name the two solve spans.
+func twoPhase(g *graph.Graph, strategy, phase1, phase2 string, mm Algorithm, split func() edgeSplit) (*Matching, Report) {
+	rep := Report{Strategy: strategy}
 	dsp := trace.Begin("decomp")
-	d := decomp.Bridge(g)
+	decompStart := time.Now()
+	es := split()
+	g1 := graph.RemoveEdges(g, es.first)
+	rest := graph.EdgeInducedSubgraph(g, es.rest)
+	rep.Decomp = time.Since(decompStart)
+	if trace.Enabled() {
+		dsp.Add("parts", int64(es.parts))
+		dsp.Add("cross_edges", rest.G.NumEdges())
+	}
 	dsp.End()
-	rep.Decomp = d.Elapsed
 
 	start := time.Now()
 	m := NewMatching(g.NumVertices())
-	// M_c ← MM(G_c). G_c keeps global vertex ids, and its connected
-	// components are solved simultaneously by the parallel subroutine.
-	sp := trace.Begin("solve/parts")
-	mc, st := mm(d.Parts[0].G)
+	sp := trace.Begin(phase1)
+	m1, st := mm(g1)
 	sp.Add("rounds", int64(st.Rounds))
 	sp.Add("matched", st.Matched)
 	sp.End()
 	rep.Rounds += st.Rounds
-	mergeSub(m.Mate, d.Parts[0], mc)
-	// M_b ← MM(G_b[V']) on the unmatched bridge vertices.
-	sp = trace.Begin("solve/cross")
-	rep.Rounds += solveOnUnmatched(m.Mate, d.Cross, mm)
+	par.Copy(m.Mate, m1.Mate)
+	sp = trace.Begin(phase2)
+	rep.Rounds += solveOnUnmatched(m.Mate, rest, mm)
 	sp.End()
 	rep.Solve = time.Since(start)
 	return m, rep
 }
 
+// MMBridge is the paper's Algorithm 4: find the bridges, match the
+// 2-edge-connected components G_c = G − B, then augment with a matching on
+// the bridges induced by still-unmatched bridge vertices.
+func MMBridge(g *graph.Graph, mm Algorithm) (*Matching, Report) {
+	return twoPhase(g, "MM-Bridge", "solve/parts", "solve/cross", mm, func() edgeSplit {
+		bi := decomp.FindBridges(g)
+		return edgeSplit{func(u, v int32) bool { return !bi.IsBridge(u, v) }, bi.IsBridge, 1}
+	})
+}
+
 // MMRand is the paper's Algorithm 5: random k-way decomposition, one
 // matching call on G_IS = ∪ᵢ G[Vᵢ] (Algorithm 5 line 2 takes the union of
-// the induced subgraphs, whose components the parallel subroutine processes
-// simultaneously), then the cross-edge graph G_{k+1} restricted to
+// the induced subgraphs), then the cross-edge graph G_{k+1} restricted to
 // unmatched vertices. The paper uses k = 10 on the CPU and k = 4 on the
 // GPU, raising k toward the average degree on very dense instances.
 func MMRand(g *graph.Graph, k int, seed uint64, mm Algorithm) (*Matching, Report) {
-	rep := Report{Strategy: "MM-Rand"}
-	n := g.NumVertices()
-
-	// Decomposition: the labels, G_IS (same vertex set, intra-part edges),
-	// and the cross-edge subgraph G_{k+1}.
-	dsp := trace.Begin("decomp")
-	decompStart := time.Now()
-	label := make([]int32, n)
-	par.For(n, func(i int) {
-		label[i] = int32(par.HashRange(seed, int64(i), k))
+	return twoPhase(g, "MM-Rand", "solve/parts", "solve/cross", mm, func() edgeSplit {
+		return byLabel(decomp.RandLabels(g.NumVertices(), k, seed), k)
 	})
-	gis := graph.RemoveEdges(g, func(u, v int32) bool { return label[u] == label[v] })
-	cross := graph.EdgeInducedSubgraph(g, func(u, v int32) bool { return label[u] != label[v] })
-	rep.Decomp = time.Since(decompStart)
-	if trace.Enabled() {
-		dsp.Add("parts", int64(k))
-		dsp.Add("cross_edges", int64(cross.G.NumEdges()))
-	}
-	dsp.End()
-
-	start := time.Now()
-	m := NewMatching(n)
-	// M_IS ← MM(G_IS).
-	sp := trace.Begin("solve/parts")
-	mi, st := mm(gis)
-	sp.Add("rounds", int64(st.Rounds))
-	sp.Add("matched", st.Matched)
-	sp.End()
-	rep.Rounds += st.Rounds
-	par.Copy(m.Mate, mi.Mate) // G_IS keeps global vertex ids
-	// M_{k+1} ← MM(G_{k+1}[V']).
-	sp = trace.Begin("solve/cross")
-	rep.Rounds += solveOnUnmatched(m.Mate, cross, mm)
-	sp.End()
-	rep.Solve = time.Since(start)
-	return m, rep
 }
 
 // MMMPX is the MPX analogue of Algorithm 5 (an extension beyond the
@@ -124,76 +127,22 @@ func MMRand(g *graph.Graph, k int, seed uint64, mm Algorithm) (*Matching, Report
 // vertices. Where RAND fixes the part count k, MPX fixes the rate beta and
 // the ball count falls out of the shifts.
 func MMMPX(g *graph.Graph, beta float64, seed uint64, mm Algorithm) (*Matching, Report) {
-	rep := Report{Strategy: "MM-MPX"}
-	n := g.NumVertices()
-
-	dsp := trace.Begin("decomp")
-	decompStart := time.Now()
-	info := decomp.MPXGrow(g, beta, seed)
-	center := info.Center
-	gis := graph.RemoveEdges(g, func(u, v int32) bool { return center[u] == center[v] })
-	cross := graph.EdgeInducedSubgraph(g, func(u, v int32) bool { return center[u] != center[v] })
-	rep.Decomp = time.Since(decompStart)
-	if trace.Enabled() {
-		dsp.Add("parts", int64(info.Balls))
-		dsp.Add("cross_edges", int64(cross.G.NumEdges()))
-	}
-	dsp.End()
-
-	start := time.Now()
-	m := NewMatching(n)
-	// M_IS ← MM(G_IS): the balls' union keeps global vertex ids.
-	sp := trace.Begin("solve/parts")
-	mi, st := mm(gis)
-	sp.Add("rounds", int64(st.Rounds))
-	sp.Add("matched", st.Matched)
-	sp.End()
-	rep.Rounds += st.Rounds
-	par.Copy(m.Mate, mi.Mate)
-	// The inter-ball edges on unmatched vertices.
-	sp = trace.Begin("solve/cross")
-	rep.Rounds += solveOnUnmatched(m.Mate, cross, mm)
-	sp.End()
-	rep.Solve = time.Since(start)
-	return m, rep
+	return twoPhase(g, "MM-MPX", "solve/parts", "solve/cross", mm, func() edgeSplit {
+		info := decomp.MPXGrow(g, beta, seed)
+		return byLabel(info.Center, info.Balls)
+	})
 }
 
 // MMDegk is the paper's Algorithm 6: degree-k decomposition (k = 2 in the
-// paper), match the high-degree subgraph G_H first, then G_L ∪ G_C
-// restricted to unmatched vertices.
+// paper), match the high-degree subgraph G_H first, then G_L ∪ G_C (every
+// edge with a low-degree endpoint) restricted to unmatched vertices.
 func MMDegk(g *graph.Graph, k int, mm Algorithm) (*Matching, Report) {
-	rep := Report{Strategy: "MM-Degk"}
-	n := g.NumVertices()
-
-	// Decomposition: classify by degree, materialize G_H and G_LC = G_L ∪
-	// G_C (every edge with at least one low-degree endpoint).
-	dsp := trace.Begin("decomp")
-	decompStart := time.Now()
-	low := make([]bool, n)
-	par.For(n, func(i int) { low[i] = g.Degree(int32(i)) <= int32(k) })
-	gh := graph.RemoveEdges(g, func(u, v int32) bool { return !low[u] && !low[v] })
-	glc := graph.EdgeInducedSubgraph(g, func(u, v int32) bool { return low[u] || low[v] })
-	rep.Decomp = time.Since(decompStart)
-	if trace.Enabled() {
-		dsp.Add("parts", 2)
-		dsp.Add("cross_edges", int64(glc.G.NumEdges()))
-	}
-	dsp.End()
-
-	start := time.Now()
-	m := NewMatching(n)
-	// M_H ← MM(G_H).
-	sp := trace.Begin("solve/G_H")
-	mh, st := mm(gh)
-	sp.Add("rounds", int64(st.Rounds))
-	sp.Add("matched", st.Matched)
-	sp.End()
-	rep.Rounds += st.Rounds
-	par.Copy(m.Mate, mh.Mate) // G_H kept global vertex ids
-	// M_LC ← MM(G_LC[V']).
-	sp = trace.Begin("solve/G_LC")
-	rep.Rounds += solveOnUnmatched(m.Mate, glc, mm)
-	sp.End()
-	rep.Solve = time.Since(start)
-	return m, rep
+	return twoPhase(g, "MM-Degk", "solve/G_H", "solve/G_LC", mm, func() edgeSplit {
+		low := decomp.LowDegree(g, k)
+		return edgeSplit{
+			first: func(u, v int32) bool { return !low[u] && !low[v] },
+			rest:  func(u, v int32) bool { return low[u] || low[v] },
+			parts: 2,
+		}
+	})
 }

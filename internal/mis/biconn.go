@@ -21,13 +21,7 @@ func MISBiconn(g *graph.Graph, solver Solver) (*IndepSet, Report) {
 
 	start := time.Now()
 	n := g.NumVertices()
-	set := NewIndepSet(n)
 	member := make([]bool, n)
 	par.For(n, func(i int) { member[i] = !bc.IsArticulation[i] })
-	st := maskedPhase(g, set, member, solver)
-	rep.Rounds += st.Rounds
-	st = remainderPhase(g, set, solver)
-	rep.Rounds += st.Rounds
-	rep.Solve = time.Since(start)
-	return set, rep
+	return twoPhase(rep, g, start, "solve/masked", member, solver, solver)
 }

@@ -105,16 +105,47 @@ func remainderPhase(g *graph.Graph, set *IndepSet, solver Solver) Stats {
 	return solver(g, status, set, active)
 }
 
-// MISBridge is the paper's Algorithm 10: find the bridges, compute an MIS
-// on ∪ᵢ Hᵢ (the 2-edge-connected components minus bridge endpoints) and on
-// the reduced remainder. The order heuristic from §V-B1 computes the
-// sparser of ∪ᵢ Hᵢ and the bridge graph G_B first.
-func MISBridge(g *graph.Graph, solver Solver) (*IndepSet, Report) {
-	return MISBridgeOrdered(g, solver, OrderAuto)
+// twoPhase is the tail Algorithms 10–12 share, timed from start: solve
+// the subgraph of g induced by member through the status mask with first
+// (under the span phase1), then the remainder reduced by that set with
+// solver.
+func twoPhase(rep Report, g *graph.Graph, start time.Time, phase1 string, member []bool, first, solver Solver) (*IndepSet, Report) {
+	set := NewIndepSet(g.NumVertices())
+	sp := trace.Begin(phase1)
+	st := maskedPhase(g, set, member, first)
+	sp.Add("rounds", int64(st.Rounds))
+	sp.End()
+	rep.Rounds += st.Rounds
+	sp = trace.Begin("solve/remainder")
+	st = remainderPhase(g, set, solver)
+	sp.Add("rounds", int64(st.Rounds))
+	sp.End()
+	rep.Rounds += st.Rounds
+	rep.Solve = time.Since(start)
+	return set, rep
 }
 
-// MISBridgeOrdered is MISBridge with an explicit phase order (ablation).
-func MISBridgeOrdered(g *graph.Graph, solver Solver, ord Order) (*IndepSet, Report) {
+// orderedTwoPhase runs twoPhase on a decomposition that splits V into the
+// side vertices (bridge endpoints, cross-edge endpoints) and the parts
+// side: phase 1 takes the parts side when ord — or, under OrderAuto, the
+// sparsity verdict partsSparser — says so, else the side vertices. Either
+// way phase 1 is vertex-induced from G, so when the side vertices go
+// first, every G-edge among them is respected — not only the bridges or
+// cross edges — or two endpoints joined by a part edge could both enter
+// the set (the paper's sketch elides this; see DESIGN.md §5).
+func orderedTwoPhase(rep Report, g *graph.Graph, start time.Time, side []bool, partsSparser bool, ord Order, solver Solver) (*IndepSet, Report) {
+	rep.SparserFirst = pickFirst(ord, partsSparser)
+	member := make([]bool, len(side))
+	par.For(len(side), func(i int) { member[i] = side[i] != rep.SparserFirst })
+	return twoPhase(rep, g, start, "solve/masked", member, solver, solver)
+}
+
+// MISBridge is the paper's Algorithm 10: find the bridges, compute an MIS
+// on ∪ᵢ Hᵢ (the 2-edge-connected components minus bridge endpoints) and on
+// the reduced remainder. The order heuristic from §V-B1 (ord = OrderAuto)
+// computes the sparser of ∪ᵢ Hᵢ and the bridge graph G_B first; the forced
+// orders exist for the ablation.
+func MISBridge(g *graph.Graph, solver Solver, ord Order) (*IndepSet, Report) {
 	rep := Report{Strategy: "MIS-Bridge"}
 	dsp := trace.Begin("decomp")
 	bi := decomp.FindBridges(g)
@@ -123,8 +154,6 @@ func MISBridgeOrdered(g *graph.Graph, solver Solver, ord Order) (*IndepSet, Repo
 
 	start := time.Now()
 	n := g.NumVertices()
-	set := NewIndepSet(n)
-
 	isBridgeVtx := make([]bool, n)
 	for _, e := range bi.Bridges {
 		isBridgeVtx[e.U] = true
@@ -145,77 +174,48 @@ func MISBridgeOrdered(g *graph.Graph, solver Solver, ord Order) (*IndepSet, Repo
 		}
 		return c
 	}) / 2
-	rep.SparserFirst = pickFirst(ord,
-		avgDeg(hEdges, int64(n)-bridgeVerts) <= avgDeg(int64(len(bi.Bridges)), bridgeVerts))
-
-	member := make([]bool, n)
-	par.For(n, func(i int) { member[i] = isBridgeVtx[i] != rep.SparserFirst })
-	// Note: when the bridge side goes first the phase sees every G-edge
-	// among bridge endpoints — not only the bridges — or two endpoints
-	// joined by a non-bridge edge could both enter the set (the paper's
-	// sketch elides this; see DESIGN.md §5).
-	sp := trace.Begin("solve/masked")
-	st := maskedPhase(g, set, member, solver)
-	sp.Add("rounds", int64(st.Rounds))
-	sp.End()
-	rep.Rounds += st.Rounds
-	sp = trace.Begin("solve/remainder")
-	st = remainderPhase(g, set, solver)
-	sp.Add("rounds", int64(st.Rounds))
-	sp.End()
-	rep.Rounds += st.Rounds
-	rep.Solve = time.Since(start)
-	return set, rep
+	partsSparser := avgDeg(hEdges, int64(n)-bridgeVerts) <= avgDeg(int64(len(bi.Bridges)), bridgeVerts)
+	return orderedTwoPhase(rep, g, start, isBridgeVtx, partsSparser, ord, solver)
 }
 
 // MISRand is the paper's Algorithm 11: random k-way labeling, MIS on
 // H = ∪ᵢ Hᵢ (vertices with no cross edge) or on the cross side first —
-// whichever is sparser — then on the reduced remainder.
-func MISRand(g *graph.Graph, k int, seed uint64, solver Solver) (*IndepSet, Report) {
-	return MISRandOrdered(g, k, seed, solver, OrderAuto)
-}
-
-// MISRandOrdered is MISRand with an explicit phase order (ablation).
-func MISRandOrdered(g *graph.Graph, k int, seed uint64, solver Solver, ord Order) (*IndepSet, Report) {
-	rep := Report{Strategy: "MIS-Rand"}
-	n := g.NumVertices()
-
-	// Decomposition: the random labels plus the cross-edge classification.
-	dsp := trace.Begin("decomp")
-	decompStart := time.Now()
-	label := make([]int32, n)
-	par.For(n, func(i int) {
-		label[i] = int32(par.HashRange(seed, int64(i), k))
+// whichever is sparser, unless ord forces the order — then on the reduced
+// remainder.
+func MISRand(g *graph.Graph, k int, seed uint64, solver Solver, ord Order) (*IndepSet, Report) {
+	return labeled(g, "MIS-Rand", solver, ord, func() []int32 {
+		return decomp.RandLabels(g.NumVertices(), k, seed)
 	})
-	hasCross, partEdges := crossClassify(g, label)
-	rep.Decomp = time.Since(decompStart)
-	dsp.End()
-
-	set := labeledTwoPhase(&rep, g, hasCross, partEdges, solver, ord)
-	return set, rep
 }
 
 // MISMPX is the MPX analogue of Algorithm 11 (an extension beyond the
 // paper): grow exponential-shift balls, then run the two masked phases
 // over the ball labels — the vertices with no inter-ball edge and the
-// reduced remainder, sparser side first.
-func MISMPX(g *graph.Graph, beta float64, seed uint64, solver Solver) (*IndepSet, Report) {
-	return MISMPXOrdered(g, beta, seed, solver, OrderAuto)
+// reduced remainder, sparser side first unless ord forces the order.
+func MISMPX(g *graph.Graph, beta float64, seed uint64, solver Solver, ord Order) (*IndepSet, Report) {
+	return labeled(g, "MIS-MPX", solver, ord, func() []int32 {
+		return decomp.MPXGrow(g, beta, seed).Center
+	})
 }
 
-// MISMPXOrdered is MISMPX with an explicit phase order (ablation).
-func MISMPXOrdered(g *graph.Graph, beta float64, seed uint64, solver Solver, ord Order) (*IndepSet, Report) {
-	rep := Report{Strategy: "MIS-MPX"}
-
+// labeled is the body of the label-based decompositions (RAND, MPX):
+// label the vertices and classify the cross edges inside the timed
+// decomposition, then run the ordered two phases with the cross-edge
+// vertices as the side.
+func labeled(g *graph.Graph, strategy string, solver Solver, ord Order, labels func() []int32) (*IndepSet, Report) {
+	rep := Report{Strategy: strategy}
 	dsp := trace.Begin("decomp")
 	decompStart := time.Now()
-	info := decomp.MPXGrow(g, beta, seed)
-	hasCross, partEdges := crossClassify(g, info.Center)
+	hasCross, partEdges := crossClassify(g, labels())
 	rep.Decomp = time.Since(decompStart)
 	dsp.End()
 
-	set := labeledTwoPhase(&rep, g, hasCross, partEdges, solver, ord)
-	return set, rep
+	start := time.Now()
+	n := g.NumVertices()
+	crossVerts := par.Count(n, func(i int) bool { return hasCross[i] })
+	crossEdges := g.NumEdges() - partEdges
+	partsSparser := avgDeg(partEdges, int64(n)) <= avgDeg(crossEdges, crossVerts)
+	return orderedTwoPhase(rep, g, start, hasCross, partsSparser, ord, solver)
 }
 
 // crossClassify marks, for a per-vertex part labeling, the vertices with
@@ -240,78 +240,26 @@ func crossClassify(g *graph.Graph, label []int32) (hasCross []bool, partEdges in
 	return hasCross, cnt / 2
 }
 
-// labeledTwoPhase is the shared solve of the label-based decompositions
-// (RAND, MPX): masked phase over the sparser of the no-cross side and the
-// cross side, then the reduced remainder.
-func labeledTwoPhase(rep *Report, g *graph.Graph, hasCross []bool, partEdges int64, solver Solver, ord Order) *IndepSet {
-	n := g.NumVertices()
-	start := time.Now()
-	set := NewIndepSet(n)
-	crossVerts := par.Count(n, func(i int) bool { return hasCross[i] })
-	crossEdges := g.NumEdges() - partEdges
-	rep.SparserFirst = pickFirst(ord,
-		avgDeg(partEdges, int64(n)) <= avgDeg(crossEdges, crossVerts))
-
-	member := make([]bool, n)
-	par.For(n, func(i int) { member[i] = hasCross[i] != rep.SparserFirst })
-	// As in MISBridge, the cross-first phase is vertex-induced from G so
-	// intra-part edges between cross endpoints are respected.
-	sp := trace.Begin("solve/masked")
-	st := maskedPhase(g, set, member, solver)
-	sp.Add("rounds", int64(st.Rounds))
-	sp.End()
-	rep.Rounds += st.Rounds
-	sp = trace.Begin("solve/remainder")
-	st = remainderPhase(g, set, solver)
-	sp.Add("rounds", int64(st.Rounds))
-	sp.End()
-	rep.Rounds += st.Rounds
-	rep.Solve = time.Since(start)
-	return set
-}
-
 // MISDeg2 is the paper's Algorithm 12: classify vertices by the degree-2
-// threshold, run the special bounded-degree solver (KPSolver, standing in
-// for [21]) on the degree ≤ 2 induced subgraph, then the general solver on
-// the reduced remainder.
+// threshold, run the special bounded-degree solver kp (KPSolver, standing
+// in for [21]; GPU runs pass KPSolverOn(machine.Launch) so the phase's
+// work is charged to the device) on the degree ≤ 2 induced subgraph, then
+// the general solver on the reduced remainder.
 //
 // Note: the paper's prose says "an MIS I_C in G_C" but the degree bound it
 // invokes ("with its degree bounded by two ... a set of paths") holds for
 // G_L, the induced subgraph on degree ≤ 2 vertices — G_C's high-degree
 // endpoints can have arbitrarily many cross edges. We follow the intent and
 // run the bounded-degree solver on G_L (see DESIGN.md).
-func MISDeg2(g *graph.Graph, solver Solver) (*IndepSet, Report) {
-	return MISDeg2With(g, solver, KPSolver())
-}
-
-// MISDeg2With is MISDeg2 with an explicit bounded-degree solver for the
-// G_L phase (GPU runs pass KPSolverOn(machine.Launch) so the phase's work
-// is charged to the device).
-func MISDeg2With(g *graph.Graph, solver, kp Solver) (*IndepSet, Report) {
+func MISDeg2(g *graph.Graph, solver, kp Solver) (*IndepSet, Report) {
 	rep := Report{Strategy: "MIS-Deg2"}
-	n := g.NumVertices()
-
 	// The decomposition is one classification pass — "a simple
 	// computation" per the paper's Figure 2 discussion.
 	dsp := trace.Begin("decomp")
 	decompStart := time.Now()
-	low := make([]bool, n)
-	par.For(n, func(i int) { low[i] = g.Degree(int32(i)) <= 2 })
+	low := decomp.LowDegree(g, 2)
 	rep.Decomp = time.Since(decompStart)
 	dsp.End()
 
-	start := time.Now()
-	set := NewIndepSet(n)
-	sp := trace.Begin("solve/G_L")
-	st := maskedPhase(g, set, low, kp)
-	sp.Add("rounds", int64(st.Rounds))
-	sp.End()
-	rep.Rounds += st.Rounds
-	sp = trace.Begin("solve/remainder")
-	st = remainderPhase(g, set, solver)
-	sp.Add("rounds", int64(st.Rounds))
-	sp.End()
-	rep.Rounds += st.Rounds
-	rep.Solve = time.Since(start)
-	return set, rep
+	return twoPhase(rep, g, time.Now(), "solve/G_L", low, kp, solver)
 }

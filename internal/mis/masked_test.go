@@ -48,7 +48,7 @@ func TestMISDeg2WithGPUAccounting(t *testing.T) {
 	machine := bsp.New()
 	g := pathGraph(2000) // everything degree ≤ 2: the KP phase does all work
 	before := machine.Stats().Launches
-	s, _ := MISDeg2With(g, LubyGPUSolver(machine, 1), KPSolverOn(machine.Launch))
+	s, _ := MISDeg2(g, LubyGPUSolver(machine, 1), KPSolverOn(machine.Launch))
 	if err := Verify(g, s); err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestGreedyFewerRoundsThanPathLength(t *testing.T) {
 func TestMISRandOrderedForcedOrders(t *testing.T) {
 	g := randomGraph(400, 1600, 4)
 	for _, ord := range []Order{OrderAuto, OrderPartsFirst, OrderCrossFirst} {
-		s, rep := MISRandOrdered(g, 5, 2, LubySolver(7), ord)
+		s, rep := MISRand(g, 5, 2, LubySolver(7), ord)
 		if err := Verify(g, s); err != nil {
 			t.Fatalf("order %d: %v", ord, err)
 		}
@@ -96,7 +96,7 @@ func TestMISRandOrderedForcedOrders(t *testing.T) {
 func TestMISBridgeOrderedForcedOrders(t *testing.T) {
 	g := randomGraph(300, 400, 8)
 	for _, ord := range []Order{OrderPartsFirst, OrderCrossFirst} {
-		s, _ := MISBridgeOrdered(g, LubySolver(7), ord)
+		s, _ := MISBridge(g, LubySolver(7), ord)
 		if err := Verify(g, s); err != nil {
 			t.Fatalf("order %d: %v", ord, err)
 		}

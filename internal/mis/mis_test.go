@@ -234,9 +234,9 @@ func TestDecomposedMISMaximal(t *testing.T) {
 				name string
 				run  func() (*IndepSet, Report)
 			}{
-				{"MIS-Bridge", func() (*IndepSet, Report) { return MISBridge(g, alg) }},
-				{"MIS-Rand", func() (*IndepSet, Report) { return MISRand(g, 4, 3, alg) }},
-				{"MIS-Deg2", func() (*IndepSet, Report) { return MISDeg2(g, alg) }},
+				{"MIS-Bridge", func() (*IndepSet, Report) { return MISBridge(g, alg, OrderAuto) }},
+				{"MIS-Rand", func() (*IndepSet, Report) { return MISRand(g, 4, 3, alg, OrderAuto) }},
+				{"MIS-Deg2", func() (*IndepSet, Report) { return MISDeg2(g, alg, KPSolver()) }},
 			}
 			for _, r := range runs {
 				s, rep := r.run()
@@ -256,7 +256,7 @@ func TestMISBridgeOrderHeuristic(t *testing.T) {
 	// H is empty (every vertex is a bridge endpoint). H (avg degree 0) runs
 	// first.
 	g := pathGraph(50)
-	_, rep := MISBridge(g, LubySolver(1))
+	_, rep := MISBridge(g, LubySolver(1), OrderAuto)
 	if !rep.SparserFirst {
 		t.Fatal("expected the empty H side to be chosen first on a path")
 	}
@@ -273,7 +273,7 @@ func TestMISDeg2DelegatesLowDegreePart(t *testing.T) {
 		return inner(g, status, set, active)
 	}
 	g := pathGraph(200)
-	s, _ := MISDeg2(g, spy)
+	s, _ := MISDeg2(g, spy, KPSolver())
 	if err := Verify(g, s); err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestMISDeg2DelegatesLowDegreePart(t *testing.T) {
 
 func TestReportTotalMIS(t *testing.T) {
 	g := randomGraph(400, 2000, 8)
-	_, rep := MISDeg2(g, LubySolver(2))
+	_, rep := MISDeg2(g, LubySolver(2), KPSolver())
 	if rep.Total() != rep.Decomp+rep.Solve {
 		t.Fatal("Total != Decomp + Solve")
 	}

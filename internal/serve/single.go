@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 )
@@ -29,9 +30,15 @@ func newFlightGroup() *flightGroup {
 	return &flightGroup{calls: map[string]*flightCall{}}
 }
 
+// errLeaderPanicked is the result followers share when the leader's fn
+// panics instead of returning.
+var errLeaderPanicked = errors.New("serve: coalesced solve panicked")
+
 // do runs fn once per key among concurrent callers. The leader runs fn;
 // followers block until it finishes and share its result. shared reports
-// whether this caller was a follower.
+// whether this caller was a follower. If fn panics, the panic continues
+// in the leader, its followers get errLeaderPanicked, and the key is
+// released so later callers run fn afresh.
 func (g *flightGroup) do(key string, fn func() (*solveOutcome, error)) (val *solveOutcome, err error, shared bool) {
 	g.mu.Lock()
 	if c, inflight := g.calls[key]; inflight {
@@ -40,15 +47,16 @@ func (g *flightGroup) do(key string, fn func() (*solveOutcome, error)) (val *sol
 		<-c.done
 		return c.val, c.err, true
 	}
-	c := &flightCall{done: make(chan struct{})}
+	c := &flightCall{done: make(chan struct{}), err: errLeaderPanicked}
 	g.calls[key] = c
 	g.mu.Unlock()
+	defer func() {
+		g.mu.Lock()
+		delete(g.calls, key)
+		g.mu.Unlock()
+		close(c.done)
+	}()
 
 	c.val, c.err = fn()
-
-	g.mu.Lock()
-	delete(g.calls, key)
-	g.mu.Unlock()
-	close(c.done)
 	return c.val, c.err, false
 }

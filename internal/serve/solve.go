@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -277,7 +276,7 @@ func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// record. Followers spend the same interval blocked in do; their
 	// records call it "coalesced".
 	out, err, shared := s.flight.do(ps.key, func() (*solveOutcome, error) {
-		return s.runSolve(r.Context(), ps, rt)
+		return s.runSolve(ps, rt)
 	})
 	if shared && telemetry.Enabled() {
 		s.m.coalesced.Inc()
@@ -307,14 +306,15 @@ func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
 // runSolve is the singleflight leader body: admission, the solver run,
 // response marshaling, cache fill. It records onto the leader's own
 // track: queue wait, the solver phase split, and — when tracing is on —
-// a per-request span tree collected by a Collector carried through ctx
-// into core, so concurrent requests never interleave spans.
-func (s *Service) runSolve(ctx context.Context, ps *parsedSolve, rt *requestTrack) (*solveOutcome, error) {
+// a per-request span tree collected by a Collector attached to the
+// leader's goroutine for the whole body, so the phase spans core and the
+// solvers open land on it and concurrent requests never interleave spans.
+func (s *Service) runSolve(ps *parsedSolve, rt *requestTrack) (*solveOutcome, error) {
 	var col *trace.Collector
 	if trace.Enabled() {
 		col = trace.NewCollector()
-		ctx = trace.NewContext(ctx, col)
 	}
+	defer col.Attach()()
 	reqSpan := col.Beginf("request %s", rt.id)
 
 	qstart := time.Now()
@@ -337,7 +337,12 @@ func (s *Service) runSolve(ctx context.Context, ps *parsedSolve, rt *requestTrac
 		s.m.runs.Inc()
 	}
 	start := time.Now()
-	res, err := core.SolveVerifiedCtx(ctx, ps.g, ps.problem, ps.opt)
+	res, err := core.Solve(ps.g, ps.problem, ps.opt)
+	if err == nil {
+		if verr := core.Verify(ps.g, res); verr != nil {
+			err = fmt.Errorf("core: solution failed verification: %w", verr)
+		}
+	}
 	if err != nil {
 		reqSpan.End()
 		rt.phase("run")

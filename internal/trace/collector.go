@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -195,20 +194,4 @@ func goid() uint64 {
 		id = id*10 + uint64(ch-'0')
 	}
 	return id
-}
-
-// ctxKey keys the collector in a context.Context.
-type ctxKey struct{}
-
-// NewContext returns ctx carrying c. The serving layer mints a collector
-// per request and threads it to core.SolveCtx / SolveVerifiedCtx, which
-// Attach it around the solve so the phase spans land on it.
-func NewContext(ctx context.Context, c *Collector) context.Context {
-	return context.WithValue(ctx, ctxKey{}, c)
-}
-
-// FromContext returns the collector carried by ctx, or nil.
-func FromContext(ctx context.Context) *Collector {
-	c, _ := ctx.Value(ctxKey{}).(*Collector)
-	return c
 }

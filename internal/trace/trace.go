@@ -26,9 +26,9 @@
 // process-global Collector — experiment harnesses run cells sequentially,
 // so the implicit current-span stack matches the phase structure exactly.
 // Concurrent request-serving paths instead mint one Collector per request
-// and Attach it to the request goroutine (or thread it via NewContext /
-// core.SolveCtx), so simultaneous requests record independent span trees
-// instead of interleaving on the global one. Concurrent Begin/End against
+// and Attach it to the request goroutine around core.Solve, so
+// simultaneous requests record independent span trees instead of
+// interleaving on the global one. Concurrent Begin/End against
 // a single collector is still safe (the tree is lock-protected and End
 // tolerates out-of-order closes) but its nesting reflects submission
 // order, not causality.
