@@ -24,10 +24,15 @@ test:
 # serve is the most concurrent package (admission, singleflight coalescing,
 # the LRU cache and flight recorder under parallel requests), and core is
 # where each request attaches its own trace collector around the solve.
+# frontier, decomp, matching, coloring, mis and bfs hold the CAS-claim
+# kernels that run on the par/bsp paths: EdgeMap push, MPX's min-center
+# claims, and the GM/LMAX handshakes.
 race:
 	$(GO) test -race ./internal/par/... ./internal/graph/... ./internal/trace/... \
 		./internal/telemetry/... ./internal/bsp/... ./internal/harness/... \
-		./internal/serve/... ./internal/core/...
+		./internal/serve/... ./internal/core/... \
+		./internal/frontier/... ./internal/decomp/... ./internal/matching/... \
+		./internal/coloring/... ./internal/mis/... ./internal/bfs/...
 
 vet:
 	$(GO) vet ./...

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/bsp"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/decomp"
@@ -27,14 +26,13 @@ func quickGraph(n int, edges []uint16) *graph.Graph {
 }
 
 func TestPropertyAllSolversAllGraphs(t *testing.T) {
-	machine := bsp.New()
 	cfgs := []core.Options{
 		{Strategy: core.StrategyBaseline},
 		{Strategy: core.StrategyBridge},
 		{Strategy: core.StrategyRand, RandParts: 3},
 		{Strategy: core.StrategyDegk},
-		{Strategy: core.StrategyBaseline, Arch: core.ArchGPU, Machine: machine},
-		{Strategy: core.StrategyDegk, Arch: core.ArchGPU, Machine: machine},
+		{Strategy: core.StrategyBaseline, Arch: core.ArchGPU},
+		{Strategy: core.StrategyDegk, Arch: core.ArchGPU},
 	}
 	check := func(raw []uint16) bool {
 		g := quickGraph(40, raw)
@@ -113,12 +111,11 @@ func TestDatasetInstancesThroughAutoSolve(t *testing.T) {
 	// Every registered instance solves and verifies under the Table I
 	// strategies on both architectures, at a tiny scale.
 	defer dataset.ClearCache()
-	machine := bsp.New()
 	for _, spec := range dataset.All() {
 		g := dataset.Load(spec, 0.02, 3)
 		for _, p := range []core.Problem{core.ProblemMM, core.ProblemColor, core.ProblemMIS} {
 			for _, arch := range []core.Arch{core.ArchCPU, core.ArchGPU} {
-				res, err := core.Solve(g, p, core.Options{Arch: arch, Seed: 1, Machine: machine})
+				res, err := core.Solve(g, p, core.Options{Arch: arch, Seed: 1})
 				if err != nil {
 					t.Fatalf("%s/%v/%v: %v", spec.Name, p, arch, err)
 				}

@@ -46,41 +46,16 @@ var (
 // 5–20µs range; we use 10µs.
 const DefaultLaunchOverhead = 10 * time.Microsecond
 
-// Machine is a virtual bulk-synchronous manycore processor. The zero value
-// is not usable; create with New. A Machine may be reused across
-// algorithms; ResetStats clears its counters between experiments.
+// Machine is a virtual bulk-synchronous manycore processor. Create one
+// with New; its counters accumulate over every launch it runs.
 type Machine struct {
-	launchOverhead time.Duration
-	workers        int
-
-	launches    atomic.Int64
-	threadsRun  atomic.Int64
-	kernelTime  atomic.Int64 // wall nanoseconds inside kernels
-	simOverhead atomic.Int64 // accumulated simulated overhead nanoseconds
+	launches   atomic.Int64
+	threadsRun atomic.Int64
+	kernelTime atomic.Int64 // wall nanoseconds inside kernels
 }
 
-// Option configures a Machine.
-type Option func(*Machine)
-
-// WithLaunchOverhead sets the simulated per-launch overhead.
-func WithLaunchOverhead(d time.Duration) Option {
-	return func(m *Machine) { m.launchOverhead = d }
-}
-
-// WithWorkers pins the number of host goroutines used to execute kernels.
-// Zero (the default) uses the par package's worker count.
-func WithWorkers(n int) Option {
-	return func(m *Machine) { m.workers = n }
-}
-
-// New returns a Machine with the given options.
-func New(opts ...Option) *Machine {
-	m := &Machine{launchOverhead: DefaultLaunchOverhead}
-	for _, o := range opts {
-		o(m)
-	}
-	return m
-}
+// New returns a Machine.
+func New() *Machine { return &Machine{} }
 
 // Launch runs kernel(tid) for every tid in [0, n) — one logical thread per
 // element — and returns after all logical threads finish (the global
@@ -94,16 +69,11 @@ func New(opts ...Option) *Machine {
 // tables.
 func (m *Machine) Launch(n int, kernel func(tid int)) {
 	start := time.Now()
-	w := m.workers
-	if w <= 0 {
-		w = par.Workers()
-	}
-	par.ForN(n, w, kernel)
+	par.For(n, kernel)
 	elapsed := time.Since(start)
 	m.launches.Add(1)
 	m.threadsRun.Add(int64(n))
 	m.kernelTime.Add(int64(elapsed))
-	m.simOverhead.Add(int64(m.launchOverhead))
 	if trace.Enabled() {
 		trace.Add("gpu_launches", 1)
 		trace.Add("gpu_threads", int64(n))
@@ -133,18 +103,11 @@ type Stats struct {
 // Stats returns a snapshot of the counters.
 func (m *Machine) Stats() Stats {
 	kt := time.Duration(m.kernelTime.Load())
+	launches := m.launches.Load()
 	return Stats{
-		Launches:   m.launches.Load(),
+		Launches:   launches,
 		ThreadsRun: m.threadsRun.Load(),
 		KernelTime: kt,
-		SimTime:    kt + time.Duration(m.simOverhead.Load()),
+		SimTime:    kt + time.Duration(launches)*DefaultLaunchOverhead,
 	}
-}
-
-// ResetStats zeroes the counters.
-func (m *Machine) ResetStats() {
-	m.launches.Store(0)
-	m.threadsRun.Store(0)
-	m.kernelTime.Store(0)
-	m.simOverhead.Store(0)
 }

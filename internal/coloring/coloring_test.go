@@ -186,8 +186,9 @@ func TestRepairKeepsExistingColors(t *testing.T) {
 }
 
 func TestVBForbiddenSizeOne(t *testing.T) {
-	// Degenerate window size must still terminate and be correct.
-	eng := &VB{ForbiddenSize: 1}
+	// K9's FORBIDDEN window is its average degree, 8, but it needs 9
+	// colors, so the OFFSET window advance must run and stay correct.
+	eng := NewVB()
 	g := completeGraph(9)
 	c, _ := eng.Fresh(g)
 	if err := Verify(g, c); err != nil {

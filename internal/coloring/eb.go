@@ -28,9 +28,6 @@ func (eb *EB) Name() string { return "EB" }
 // Exec implements Engine's executor: a kernel launch on the machine.
 func (eb *EB) Exec(n int, kernel func(i int)) { eb.machine.Launch(n, kernel) }
 
-// Machine exposes the underlying virtual device (for stats accounting).
-func (eb *EB) Machine() *bsp.Machine { return eb.machine }
-
 // Fresh implements Engine.
 func (eb *EB) Fresh(g *graph.Graph) (*Coloring, Stats) {
 	c := NewColoring(g.NumVertices())

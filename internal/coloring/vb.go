@@ -9,17 +9,13 @@ import (
 // VB is the paper's multicore CPU baseline (Algorithm VB, after Deveci et
 // al.): speculative vertex-based coloring with a fixed-size FORBIDDEN
 // array. Every working vertex searches for the smallest valid color inside
-// a window of ForbiddenSize colors; if the window is exhausted an OFFSET
+// a window of FORBIDDEN colors; if the window is exhausted an OFFSET
 // advances it. After each speculative round, conflicting vertices (the
 // lower id of each monochromatic edge) are uncolored and retried.
 //
-// The paper sizes the FORBIDDEN array at the average degree of the graph
-// being colored; ForbiddenSize = 0 selects that default.
-type VB struct {
-	// ForbiddenSize is the FORBIDDEN window size; 0 means
-	// max(1, ⌊average degree⌋) of the graph being colored.
-	ForbiddenSize int
-}
+// As in the paper, the FORBIDDEN window holds max(1, ⌊average degree⌋)
+// colors of the graph being colored.
+type VB struct{}
 
 // NewVB returns a VB engine with the paper's default FORBIDDEN sizing.
 func NewVB() *VB { return &VB{} }
@@ -41,19 +37,14 @@ func (vb *VB) Fresh(g *graph.Graph) (*Coloring, Stats) {
 
 // Repair implements Engine.
 func (vb *VB) Repair(g *graph.Graph, color []int32, work []int32) Stats {
-	f := vb.ForbiddenSize
-	if f <= 0 {
-		// The paper sizes the FORBIDDEN array at the average degree of the
-		// graph being colored — here, the work vertices.
-		if len(work) > 0 {
-			total := par.Sum(len(work), func(i int) int64 {
-				return int64(g.Degree(work[i]))
-			})
-			f = int(total / int64(len(work)))
-		}
-		if f < 1 {
-			f = 1
-		}
+	// The paper sizes the FORBIDDEN array at the average degree of the
+	// graph being colored — here, the work vertices.
+	f := 1
+	if len(work) > 0 {
+		total := par.Sum(len(work), func(i int) int64 {
+			return int64(g.Degree(work[i]))
+		})
+		f = max(1, int(total/int64(len(work))))
 	}
 	var st Stats
 	n := g.NumVertices()

@@ -111,7 +111,10 @@ func (a Arch) String() string {
 }
 
 // Options configures Solve. The zero value solves on the CPU with the
-// paper's Table I strategy and default parameters.
+// paper's Table I strategy and default parameters. A GPU solve runs on a
+// fresh bsp virtual device that Solve creates, so its output and its
+// launch and thread counts depend only on the graph, the problem and the
+// options.
 type Options struct {
 	// Strategy is the decomposition to use; StrategyAuto applies Table I.
 	Strategy Strategy
@@ -127,18 +130,13 @@ type Options struct {
 	// Seed drives every randomized component; runs are deterministic
 	// under (Seed, options).
 	Seed uint64
-	// Machine is the virtual GPU to run on when Arch == ArchGPU; nil
-	// creates a fresh one.
-	Machine *bsp.Machine
 }
 
 // Normalized returns the options with the paper's defaults filled in —
 // the same resolution Solve applies internally. Callers that key caches or
 // coalesce identical requests (the serving layer) normalize first, so a
 // request that spells out a default and one that leaves it zero map to the
-// same key. Note Normalized materializes a fresh bsp.Machine for GPU
-// options with a nil Machine; key builders should hash the scalar fields
-// only.
+// same key.
 func (o Options) Normalized() Options { return o.withDefaults() }
 
 // withDefaults fills in the paper's defaults.
@@ -155,9 +153,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MPXBeta == 0 {
 		o.MPXBeta = decomp.DefaultMPXBeta
-	}
-	if o.Arch == ArchGPU && o.Machine == nil {
-		o.Machine = bsp.New()
 	}
 	return o
 }
@@ -196,7 +191,7 @@ type Report struct {
 	Solve time.Duration
 	// Rounds is the total inner iteration count.
 	Rounds int
-	// GPUStats snapshots the virtual machine counters consumed by this run
+	// GPUStats holds the counters of the virtual GPU this run created
 	// (GPU runs only).
 	GPUStats bsp.Stats
 }
@@ -234,19 +229,21 @@ func Solve(g *graph.Graph, p Problem, opt Options) (*Result, error) {
 	}
 
 	res := &Result{Report: Report{Problem: p, Strategy: strategy, Arch: opt.Arch}}
-	var before bsp.Stats
+	// A GPU run gets its own virtual device, so the device's counters are
+	// exactly this run's.
+	var machine *bsp.Machine
 	if opt.Arch == ArchGPU {
-		before = opt.Machine.Stats()
+		machine = bsp.New()
 	}
 
 	sp := trace.Beginf("core %s/%s/%s", p, strategy, opt.Arch)
 	switch p {
 	case ProblemMM:
-		solveMM(g, strategy, opt, res)
+		solveMM(g, strategy, opt, machine, res)
 	case ProblemColor:
-		solveColor(g, strategy, opt, res)
+		solveColor(g, strategy, opt, machine, res)
 	case ProblemMIS:
-		solveMIS(g, strategy, opt, res)
+		solveMIS(g, strategy, opt, machine, res)
 	default:
 		sp.End()
 		return nil, fmt.Errorf("core: unknown problem %d", p)
@@ -254,22 +251,16 @@ func Solve(g *graph.Graph, p Problem, opt Options) (*Result, error) {
 	sp.Add("rounds", int64(res.Report.Rounds))
 	sp.End()
 
-	if opt.Arch == ArchGPU {
-		after := opt.Machine.Stats()
-		res.Report.GPUStats = bsp.Stats{
-			Launches:   after.Launches - before.Launches,
-			ThreadsRun: after.ThreadsRun - before.ThreadsRun,
-			KernelTime: after.KernelTime - before.KernelTime,
-			SimTime:    after.SimTime - before.SimTime,
-		}
+	if machine != nil {
+		res.Report.GPUStats = machine.Stats()
 	}
 	return res, nil
 }
 
-func solveMM(g *graph.Graph, strategy Strategy, opt Options, res *Result) {
+func solveMM(g *graph.Graph, strategy Strategy, opt Options, machine *bsp.Machine, res *Result) {
 	alg, name := matching.GMSolver(), "GM"
-	if opt.Arch == ArchGPU {
-		alg, name = matching.LMAXSolver(opt.Machine, opt.Seed), "LMAX"
+	if machine != nil {
+		alg, name = matching.LMAXSolver(machine), "LMAX"
 	}
 	var rep matching.Report
 	switch strategy {
@@ -294,10 +285,10 @@ func solveMM(g *graph.Graph, strategy Strategy, opt Options, res *Result) {
 	res.Report.fill(rep.Strategy, rep.Decomp, rep.Solve, rep.Rounds)
 }
 
-func solveColor(g *graph.Graph, strategy Strategy, opt Options, res *Result) {
+func solveColor(g *graph.Graph, strategy Strategy, opt Options, machine *bsp.Machine, res *Result) {
 	var eng coloring.Engine
-	if opt.Arch == ArchGPU {
-		eng = coloring.NewEB(opt.Machine)
+	if machine != nil {
+		eng = coloring.NewEB(machine)
 	} else {
 		eng = coloring.NewVB()
 	}
@@ -323,10 +314,10 @@ func solveColor(g *graph.Graph, strategy Strategy, opt Options, res *Result) {
 	res.Report.fill(rep.Strategy, rep.Decomp, rep.Solve, rep.Rounds)
 }
 
-func solveMIS(g *graph.Graph, strategy Strategy, opt Options, res *Result) {
+func solveMIS(g *graph.Graph, strategy Strategy, opt Options, machine *bsp.Machine, res *Result) {
 	alg, kp := mis.LubySolver(opt.Seed), mis.KPSolver()
-	if opt.Arch == ArchGPU {
-		alg, kp = mis.LubyGPUSolver(opt.Machine, opt.Seed), mis.KPSolverOn(opt.Machine.Launch)
+	if machine != nil {
+		alg, kp = mis.LubyGPUSolver(machine, opt.Seed), mis.KPSolverOn(machine.Launch)
 	}
 	var rep mis.Report
 	switch strategy {
@@ -334,8 +325,8 @@ func solveMIS(g *graph.Graph, strategy Strategy, opt Options, res *Result) {
 		sp := trace.Begin("solve")
 		start := time.Now()
 		var st mis.Stats
-		if opt.Arch == ArchGPU {
-			res.IndepSet, st = mis.LubyGPU(g, opt.Machine, opt.Seed)
+		if machine != nil {
+			res.IndepSet, st = mis.LubyGPU(g, machine, opt.Seed)
 		} else {
 			res.IndepSet, st = mis.Luby(g, opt.Seed)
 		}

@@ -63,7 +63,7 @@ func TestNormalized(t *testing.T) {
 		t.Fatalf("CPU defaults not applied: %+v", o)
 	}
 	og := Options{Arch: ArchGPU}.Normalized()
-	if og.RandParts != 4 || og.Machine == nil {
+	if og.RandParts != 4 {
 		t.Fatalf("GPU defaults not applied: %+v", og)
 	}
 	// Explicit values survive normalization.

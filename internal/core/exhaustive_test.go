@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"repro/internal/bsp"
 	"repro/internal/decomp"
 	"repro/internal/graph"
 )
@@ -34,7 +33,6 @@ func allGraphsOn(n int, fn func(mask uint64, g *graph.Graph)) {
 // architecture over every one of the 1024 graphs on 5 vertices and
 // verifies each solution — the strongest correctness net in the suite.
 func TestExhaustiveAllSolversFiveVertices(t *testing.T) {
-	machine := bsp.New()
 	strategies := []Strategy{StrategyBaseline, StrategyBridge, StrategyRand, StrategyDegk}
 	problems := []Problem{ProblemMM, ProblemColor, ProblemMIS}
 	archs := []Arch{ArchCPU, ArchGPU}
@@ -42,9 +40,7 @@ func TestExhaustiveAllSolversFiveVertices(t *testing.T) {
 		for _, p := range problems {
 			for _, s := range strategies {
 				for _, a := range archs {
-					res, err := Solve(g, p, Options{
-						Strategy: s, Arch: a, Seed: 3, RandParts: 2, Machine: machine,
-					})
+					res, err := Solve(g, p, Options{Strategy: s, Arch: a, Seed: 3, RandParts: 2})
 					if err != nil {
 						t.Fatalf("mask %#x %v/%v/%v: %v", mask, p, s, a, err)
 					}

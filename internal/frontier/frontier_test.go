@@ -333,26 +333,13 @@ func TestEngineCounters(t *testing.T) {
 }
 
 func TestSetPullDiv(t *testing.T) {
-	defer SetPullDiv(0)
-	if PullDiv() != DefaultPullDiv {
-		t.Fatalf("default PullDiv = %d", PullDiv())
-	}
-	SetPullDiv(3)
-	if PullDiv() != 3 {
-		t.Fatalf("PullDiv = %d after SetPullDiv(3)", PullDiv())
-	}
-	SetPullDiv(-5)
-	if PullDiv() != DefaultPullDiv {
-		t.Fatalf("PullDiv = %d after SetPullDiv(-5)", PullDiv())
-	}
-	// An engine override wins over the process default.
+	// An engine override replaces DefaultPullDiv: at 40/100 the default
+	// (16) pulls and PullDiv=2 pushes.
 	e := &Engine{PullDiv: 2}
 	if !e.pullRound(60, 100) {
 		t.Fatal("engine PullDiv=2 should pull at 60/100")
 	}
-	SetPullDiv(2)
-	e = &Engine{}
-	if !e.pullRound(60, 100) {
-		t.Fatal("process PullDiv=2 should pull at 60/100")
+	if e.pullRound(40, 100) || !(&Engine{}).pullRound(40, 100) {
+		t.Fatal("engine PullDiv=2 should push at 40/100, where the default pulls")
 	}
 }

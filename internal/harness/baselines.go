@@ -40,6 +40,18 @@ func timeRun(cfg Config, run func()) time.Duration {
 	return total / time.Duration(cfg.Repeats)
 }
 
+// simTime reports the average simulated device time of run over
+// cfg.Repeats calls on one virtual GPU — kernel time plus per-launch
+// overhead, the harness's GPU timing convention. Host work that run does
+// outside its kernel launches is not counted.
+func simTime(cfg Config, run func(m *bsp.Machine)) time.Duration {
+	m := bsp.New()
+	for r := 0; r < cfg.Repeats; r++ {
+		run(m)
+	}
+	return m.Stats().SimTime / time.Duration(cfg.Repeats)
+}
+
 func matchingBaselines(cfg Config) *Table {
 	t := &Table{
 		Title:  "Baselines (MM): GM vs GreedyRandom[6] vs Israeli–Itai vs LMAX vs MM-Rand",
@@ -57,11 +69,7 @@ func matchingBaselines(cfg Config) *Table {
 			m, _ := matching.IsraeliItai(g, cfg.Seed)
 			cardII = m.Cardinality()
 		})
-		machine := bsp.New()
-		lmax := timeRun(cfg, func() {
-			machine.ResetStats()
-			matching.LMAX(g, machine, cfg.Seed)
-		})
+		lmax := simTime(cfg, func(m *bsp.Machine) { matching.LMAX(g, m) })
 		mmrand := timeRun(cfg, func() {
 			matching.MMRand(g, spec.MMRandPartsCPU, cfg.Seed, matching.GMSolver())
 		})

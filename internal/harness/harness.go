@@ -17,7 +17,6 @@ import (
 	"time"
 	"unicode/utf8"
 
-	"repro/internal/bsp"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/graph"
@@ -163,7 +162,6 @@ func measure(cfg Config, g *graph.Graph, spec dataset.Spec, p core.Problem, s co
 	opt := core.Options{Strategy: s, Arch: arch, Seed: cfg.Seed, DegK: 2}
 	if arch == core.ArchGPU {
 		opt.RandParts = spec.MMRandPartsGPU
-		opt.Machine = bsp.New()
 	} else {
 		opt.RandParts = spec.MMRandPartsCPU
 	}

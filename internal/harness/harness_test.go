@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bsp"
 	"repro/internal/core"
 	"repro/internal/dataset"
 )
@@ -218,6 +219,21 @@ func TestBaselinesAndBFSAblation(t *testing.T) {
 	bf := BFSAblation(cfg)
 	if len(bf.Rows) != 1 || len(bf.Header) != 5 {
 		t.Fatalf("BFSAblation shape %dx%d", len(bf.Rows), len(bf.Header))
+	}
+}
+
+// TestSimTimeLeavesOutHostWork pins the baselines' LMAX(sim) column to
+// simulated device time: a run that sleeps on the host before its one
+// kernel launch reports about one launch's overhead, not the sleep.
+func TestSimTimeLeavesOutHostWork(t *testing.T) {
+	const host = 20 * time.Millisecond
+	got := simTime(Config{Repeats: 2}, func(m *bsp.Machine) {
+		time.Sleep(host)
+		m.Launch(10, func(int) {})
+	})
+	if got < bsp.DefaultLaunchOverhead || got >= host {
+		t.Fatalf("simTime = %v, want ≥ %v (one launch) and < %v (the host sleep)",
+			got, bsp.DefaultLaunchOverhead, host)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/bsp"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/trace"
@@ -43,9 +42,6 @@ func RoundsPhases(cfg Config) *Table {
 		for _, p := range []core.Problem{core.ProblemMM, core.ProblemColor, core.ProblemMIS} {
 			for _, arch := range []core.Arch{core.ArchCPU, core.ArchGPU} {
 				opt := core.Options{Strategy: core.StrategyAuto, Arch: arch, Seed: cfg.Seed}
-				if arch == core.ArchGPU {
-					opt.Machine = bsp.New()
-				}
 				trace.Reset()
 				res, err := core.Solve(g, p, opt)
 				if err != nil {

@@ -62,7 +62,7 @@ func TestLMAXIdWeightStarPicksMaxLeaf(t *testing.T) {
 	// With w(u,v) = u+v the center's heaviest edge goes to the max-id
 	// leaf, which must reciprocate: the matching is {0, n-1}.
 	machine := bsp.New()
-	m, st := LMAX(starGraph(12), machine, 1)
+	m, st := LMAX(starGraph(12), machine)
 	if m.Mate[0] != 11 || m.Mate[11] != 0 {
 		t.Fatalf("star matched %d-%d, want 0-11", 0, m.Mate[0])
 	}

@@ -15,17 +15,17 @@ import (
 // until no live edge remains.
 //
 // The inputs are unweighted, so the edge weight is synthesized from the
-// endpoint ids (w(u,v) = u+v, ties broken by a symmetric hash of (seed, u,
-// v) and then by ids). Id-derived weights are what make the paper's remark
-// hold that "Algorithms GM and LMAX follow a similar model in finding
-// potential mates and matches ... a similar trend in the performance": on
+// endpoint ids: w(u,v) = u+v, so no tie-break and no seed is needed.
+// Id-derived weights are what make the paper's remark hold that
+// "Algorithms GM and LMAX follow a similar model in finding potential
+// mates and matches ... a similar trend in the performance": on
 // instances whose vertex numbering follows the geometry (rgg, banded
 // matrices) the id gradient produces the same long resolution chains that
 // give GM its vain tendency. Kernels execute on the bsp virtual manycore
 // machine; the launch counter advances by three per round (propose,
 // handshake, retire), mirroring the kernel structure of the CUDA
 // implementation.
-func LMAX(g *graph.Graph, machine *bsp.Machine, seed uint64) (*Matching, Stats) {
+func LMAX(g *graph.Graph, machine *bsp.Machine) (*Matching, Stats) {
 	n := g.NumVertices()
 	m := NewMatching(n)
 	var st Stats
@@ -49,9 +49,7 @@ func LMAX(g *graph.Graph, machine *bsp.Machine, seed uint64) (*Matching, Stats) 
 	// The id-derived weight w({v,a}) = v+a reduces, when comparing two
 	// edges at the same vertex, to comparing the neighbor ids — which are
 	// distinct, so every vertex's local maximum is unique and no tie-break
-	// is needed. (seed is retained in the signature for API stability; id
-	// weights need no randomness.)
-	_ = seed
+	// is needed.
 
 	var matched, droppedOut atomic.Int64
 	for remaining > 0 {
@@ -110,9 +108,9 @@ func LMAX(g *graph.Graph, machine *bsp.Machine, seed uint64) (*Matching, Stats) 
 	return m, st
 }
 
-// LMAXSolver returns LMAX with the machine and seed bound, as an Algorithm.
-func LMAXSolver(machine *bsp.Machine, seed uint64) Algorithm {
+// LMAXSolver returns LMAX with the machine bound, as an Algorithm.
+func LMAXSolver(machine *bsp.Machine) Algorithm {
 	return func(g *graph.Graph) (*Matching, Stats) {
-		return LMAX(g, machine, seed)
+		return LMAX(g, machine)
 	}
 }

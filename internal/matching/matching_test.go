@@ -173,7 +173,7 @@ func TestGMDeterministic(t *testing.T) {
 func TestLMAXMaximalOnCorpus(t *testing.T) {
 	machine := bsp.New()
 	for name, g := range testGraphs() {
-		m, st := LMAX(g, machine, 42)
+		m, st := LMAX(g, machine)
 		if err := Verify(g, m); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -189,7 +189,7 @@ func TestLMAXIdChainVainTendency(t *testing.T) {
 	// ... a similar trend"): on an ordered path the heaviest edge resolves
 	// from the top one match per round.
 	machine := bsp.New()
-	_, st := LMAX(pathGraph(256), machine, 7)
+	_, st := LMAX(pathGraph(256), machine)
 	if st.Rounds < 100 {
 		t.Fatalf("LMAX took %d rounds on an ordered 256-path; expected ≈ n/2 id-chain rounds", st.Rounds)
 	}
@@ -197,7 +197,7 @@ func TestLMAXIdChainVainTendency(t *testing.T) {
 
 func TestLMAXKernelAccounting(t *testing.T) {
 	machine := bsp.New()
-	_, st := LMAX(cycleGraph(100), machine, 1)
+	_, st := LMAX(cycleGraph(100), machine)
 	s := machine.Stats()
 	if s.Launches != int64(3*st.Rounds) {
 		t.Fatalf("launches = %d, want 3 per round × %d rounds", s.Launches, st.Rounds)
@@ -206,11 +206,11 @@ func TestLMAXKernelAccounting(t *testing.T) {
 
 func TestLMAXDeterministicUnderSeed(t *testing.T) {
 	g := randomGraph(300, 1500, 9)
-	m1, _ := LMAX(g, bsp.New(), 5)
-	m2, _ := LMAX(g, bsp.New(), 5)
+	m1, _ := LMAX(g, bsp.New())
+	m2, _ := LMAX(g, bsp.New())
 	for i := range m1.Mate {
 		if m1.Mate[i] != m2.Mate[i] {
-			t.Fatalf("LMAX differs at %d under same seed", i)
+			t.Fatalf("LMAX differs at %d between identical runs", i)
 		}
 	}
 }
@@ -219,7 +219,7 @@ func TestDecomposedMatchingsMaximal(t *testing.T) {
 	machine := bsp.New()
 	solvers := map[string]Algorithm{
 		"GM":   GMSolver(),
-		"LMAX": LMAXSolver(machine, 11),
+		"LMAX": LMAXSolver(machine),
 	}
 	for sname, mm := range solvers {
 		for gname, g := range testGraphs() {

@@ -63,7 +63,7 @@ func TestMaximalIsHalfApprox(t *testing.T) {
 	machine := bsp.New()
 	algs := map[string]Algorithm{
 		"GM":          GMSolver(),
-		"LMAX":        LMAXSolver(machine, 1),
+		"LMAX":        LMAXSolver(machine),
 		"IsraeliItai": IsraeliItaiSolver(1),
 	}
 	check := func(raw []uint16) bool {

@@ -2,8 +2,9 @@ package par
 
 import "sync/atomic"
 
-// Bitset is a fixed-size bitset safe for concurrent Set/Clear/Test through
-// atomic word operations. The zero value is unusable; create with NewBitset.
+// Bitset is a fixed-size bitset safe for concurrent Set/TestAndSet/Test
+// through atomic word operations. The zero value is unusable; create with
+// NewBitset.
 type Bitset struct {
 	words []uint64
 	n     int
@@ -43,18 +44,7 @@ func (b *Bitset) TestAndSet(i int) bool {
 	}
 }
 
-// Clear clears bit i. It is safe for concurrent use.
-func (b *Bitset) Clear(i int) {
-	w, mask := i>>6, uint64(1)<<uint(i&63)
-	for {
-		old := atomic.LoadUint64(&b.words[w])
-		if old&mask == 0 || atomic.CompareAndSwapUint64(&b.words[w], old, old&^mask) {
-			return
-		}
-	}
-}
-
-// Test reports bit i. It is safe for concurrent use with Set/Clear, with the
+// Test reports bit i. It is safe for concurrent use with Set, with the
 // usual racy-read semantics of a snapshot.
 func (b *Bitset) Test(i int) bool {
 	return atomic.LoadUint64(&b.words[i>>6])&(uint64(1)<<uint(i&63)) != 0

@@ -9,7 +9,7 @@
 // and parked pool workers claim dynamically, so no goroutines are spawned and
 // no scheduler teardown is paid per call. The number of workers defaults to
 // runtime.GOMAXPROCS(0) and can be overridden globally with SetWorkers (for
-// scaling experiments) or per-call with the *N variants.
+// scaling experiments).
 //
 // Chunk boundaries depend only on the loop length and the worker setting,
 // never on scheduling, so per-chunk scratch indexed by RangeIdx's chunk index
@@ -48,12 +48,7 @@ func Workers() int {
 
 // For runs fn(i) for every i in [0, n) in parallel.
 func For(n int, fn func(i int)) {
-	ForN(n, Workers(), fn)
-}
-
-// ForN is For with an explicit worker count.
-func ForN(n, workers int, fn func(i int)) {
-	runN(n, workers, func(_, lo, hi int) {
+	runN(n, Workers(), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			fn(i)
 		}
@@ -64,12 +59,7 @@ func ForN(n, workers int, fn func(i int)) {
 // chunk in parallel. It is the workhorse primitive: algorithms that keep
 // per-chunk scratch state use Range directly to amortize it.
 func Range(n int, fn func(lo, hi int)) {
-	RangeN(n, Workers(), fn)
-}
-
-// RangeN is Range with an explicit worker count.
-func RangeN(n, workers int, fn func(lo, hi int)) {
-	runN(n, workers, func(_, lo, hi int) {
+	runN(n, Workers(), func(_, lo, hi int) {
 		fn(lo, hi)
 	})
 }
@@ -383,26 +373,6 @@ func MinInt32Atomic(addr *int32, v int32) {
 	for {
 		cur := atomic.LoadInt32(addr)
 		if v >= cur || atomic.CompareAndSwapInt32(addr, cur, v) {
-			return
-		}
-	}
-}
-
-// MaxInt32Atomic atomically stores max(current, v) at addr.
-func MaxInt32Atomic(addr *int32, v int32) {
-	for {
-		cur := atomic.LoadInt32(addr)
-		if v <= cur || atomic.CompareAndSwapInt32(addr, cur, v) {
-			return
-		}
-	}
-}
-
-// MinUint64Atomic atomically stores min(current, v) at addr.
-func MinUint64Atomic(addr *uint64, v uint64) {
-	for {
-		cur := atomic.LoadUint64(addr)
-		if v >= cur || atomic.CompareAndSwapUint64(addr, cur, v) {
 			return
 		}
 	}

@@ -113,7 +113,7 @@ func TestZeroAndTinyLoops(t *testing.T) {
 	Range(0, func(lo, hi int) { t.Error("Range(0) ran body") })
 	RangeIdx(0, func(w, lo, hi int) { t.Error("RangeIdx(0) ran body") })
 	Do(0, func(i int) { t.Error("Do(0) ran body") })
-	DoN(-3, 4, func(i int) { t.Error("DoN(-3) ran body") })
+	Do(-3, func(i int) { t.Error("Do(-3) ran body") })
 	if got := NumChunks(0); got != 0 {
 		t.Fatalf("NumChunks(0) = %d", got)
 	}

@@ -15,7 +15,8 @@ const slowestKept = 8
 
 // flightRecorder keeps the last N completed RequestRecords in a ring
 // plus the K slowest ever seen, indexed by request id. Records are
-// immutable once added, so readers get shared pointers.
+// immutable once added; readers get copies whose Slow flag is worked
+// out under the mutex from the slowest set at that moment.
 //
 // Sequencing is deterministic: Seq is assigned under the recorder mutex
 // in completion order, the ring holds exactly the cap highest sequence
@@ -69,11 +70,9 @@ func (fr *flightRecorder) add(rec *RequestRecord) {
 		fr.slow = append(fr.slow, nil)
 		copy(fr.slow[i+1:], fr.slow[i:])
 		fr.slow[i] = rec
-		rec.Slow = true
 		if len(fr.slow) > slowestKept {
 			last := fr.slow[slowestKept]
 			fr.slow = fr.slow[:slowestKept]
-			last.Slow = false
 			fr.drop(last)
 		}
 	}
@@ -114,8 +113,15 @@ func (fr *flightRecorder) inSlow(rec *RequestRecord) bool {
 	return false
 }
 
-// list returns the ring newest-first and the slowest set, as shared
-// pointers to immutable records.
+// copyOf returns a copy of rec with Slow set from the slowest set.
+// Callers hold fr.mu.
+func (fr *flightRecorder) copyOf(rec *RequestRecord) *RequestRecord {
+	cp := *rec
+	cp.Slow = fr.inSlow(rec)
+	return &cp
+}
+
+// list returns copies of the ring newest-first and of the slowest set.
 func (fr *flightRecorder) list() (recent, slowest []*RequestRecord) {
 	fr.mu.Lock()
 	defer fr.mu.Unlock()
@@ -126,17 +132,23 @@ func (fr *flightRecorder) list() (recent, slowest []*RequestRecord) {
 		if idx < 0 {
 			idx += len(fr.ring)
 		}
-		recent = append(recent, fr.ring[idx])
+		recent = append(recent, fr.copyOf(fr.ring[idx]))
 	}
-	slowest = append(slowest, fr.slow...)
+	slowest = make([]*RequestRecord, 0, len(fr.slow))
+	for _, r := range fr.slow {
+		slowest = append(slowest, fr.copyOf(r))
+	}
 	return recent, slowest
 }
 
-// get returns the record for id, or nil.
+// get returns a copy of the record for id, or nil.
 func (fr *flightRecorder) get(id string) *RequestRecord {
 	fr.mu.Lock()
 	defer fr.mu.Unlock()
-	return fr.byID[id]
+	if rec := fr.byID[id]; rec != nil {
+		return fr.copyOf(rec)
+	}
+	return nil
 }
 
 // len reports how many records the recorder currently indexes.
@@ -154,15 +166,12 @@ type requestsResponse struct {
 	Slowest  []*RequestRecord `json:"slowest"`
 }
 
-// summaries strips the span trees for the list view.
+// summaries strips the span trees from list's copies for the list view.
 func summaries(recs []*RequestRecord) []*RequestRecord {
-	out := make([]*RequestRecord, len(recs))
-	for i, r := range recs {
-		cp := *r
-		cp.Trace = nil
-		out[i] = &cp
+	for _, r := range recs {
+		r.Trace = nil
 	}
-	return out
+	return recs
 }
 
 // handleRequests serves the flight-recorder list.

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 )
@@ -137,5 +139,52 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 		if fr.get(r.ID) == nil {
 			t.Fatalf("listed record %s not addressable", r.ID)
 		}
+	}
+}
+
+// TestFlightRecorderReadersDuringAdd serves the list and by-id views
+// while adds keep pushing records out of the slowest set. Published
+// records must never change, so under -race a reader copying or
+// marshaling one cannot race with add; and every view marks exactly the
+// records in the slowest set as Slow.
+func TestFlightRecorderReadersDuringAdd(t *testing.T) {
+	s := &Service{rec: newFlightRecorder(4)}
+	const adds = 2000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		// Rising walls: every add enters the slowest set and, past
+		// slowestKept, evicts its last member.
+		for i := 0; i < adds; i++ {
+			s.rec.add(mkRec(fmt.Sprintf("r%04d", i), int64(i)))
+		}
+	}()
+	for i, running := 0, true; running; i++ {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		s.handleRequests(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/debug/requests", nil))
+		id := fmt.Sprintf("r%04d", i%adds)
+		s.handleRequestByID(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/debug/requests/"+id, nil))
+	}
+
+	// A fast record enters the ring but not the slowest set.
+	s.rec.add(mkRec("fast", -1))
+	recent, slowest := s.rec.list()
+	for _, r := range slowest {
+		if !r.Slow {
+			t.Errorf("slowest-set record %s not marked Slow", r.ID)
+		}
+	}
+	if recent[0].ID != "fast" || recent[0].Slow {
+		t.Errorf("newest ring record %s: Slow=%t, want fast/false", recent[0].ID, recent[0].Slow)
+	}
+	if r := s.rec.get("fast"); r == nil || r.Slow {
+		t.Errorf("get(fast) = %+v, want a record not marked Slow", r)
+	}
+	if r := s.rec.get(fmt.Sprintf("r%04d", adds-1)); r == nil || !r.Slow {
+		t.Errorf("slowest record not marked Slow by get: %+v", r)
 	}
 }

@@ -74,7 +74,8 @@ type RequestRecord struct {
 	// detail view serves it, and ?format=chrome renders it for Perfetto.
 	Trace *trace.Export `json:"trace,omitempty"`
 
-	// Slow marks records pinned by the slowest-K set in list views.
+	// Slow marks records pinned by the slowest-K set when the flight
+	// recorder hands them out (list and detail views).
 	Slow bool `json:"slow,omitempty"`
 }
 
